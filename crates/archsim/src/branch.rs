@@ -22,14 +22,8 @@ pub struct BranchUnit {
     btc_capacity: usize,
     ras: Vec<u32>,
     ras_capacity: usize,
-    /// Conditional branches seen.
-    pub branches: u64,
     /// Direction mispredictions.
     pub direction_misses: u64,
-    /// Target-cache misses on correctly-predicted taken branches.
-    pub target_misses: u64,
-    /// Returns seen.
-    pub returns: u64,
     /// Return-address-stack mispredictions.
     pub ras_misses: u64,
 }
@@ -49,10 +43,7 @@ impl BranchUnit {
             btc_capacity: btc_entries,
             ras: Vec::with_capacity(ras_entries),
             ras_capacity: ras_entries,
-            branches: 0,
             direction_misses: 0,
-            target_misses: 0,
-            returns: 0,
             ras_misses: 0,
         }
     }
@@ -66,7 +57,6 @@ impl BranchUnit {
     /// A conditional branch at `pc` resolving to `taken` toward `target`.
     #[inline]
     pub fn branch(&mut self, pc: u32, target: u32, taken: bool) -> Prediction {
-        self.branches += 1;
         let idx = ((pc >> 2) & self.bht_mask) as usize;
         let predicted = self.bht[idx];
         self.bht[idx] = taken;
@@ -80,7 +70,6 @@ impl BranchUnit {
                 self.btc.insert(0, e);
                 Prediction::Correct
             } else {
-                self.target_misses += 1;
                 if self.btc.len() == self.btc_capacity {
                     self.btc.pop();
                 }
@@ -104,7 +93,6 @@ impl BranchUnit {
     /// A return to `target`; predicted via the return-address stack.
     #[inline]
     pub fn ret(&mut self, target: u32) -> Prediction {
-        self.returns += 1;
         match self.ras.pop() {
             Some(predicted) if predicted == target => Prediction::Correct,
             _ => {

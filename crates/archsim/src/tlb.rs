@@ -1,12 +1,16 @@
 //! Fully-associative TLBs with LRU replacement (the 21064's iTLB has 8
 //! entries, its dTLB 32; both map 8 KB pages — Table 3).
 
+use crate::cache::EMPTY;
+
 /// A fully-associative, LRU translation lookaside buffer.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: Vec<u32>, // page numbers, MRU first
-    capacity: usize,
+    /// Page numbers, MRU first, with [`EMPTY`] entries at the end.
+    entries: Box<[u64]>,
     page_bits: u32,
+    /// The page translated last, which is always the MRU entry.
+    last_page: u64,
     /// Total accesses.
     pub accesses: u64,
     /// Total misses.
@@ -23,9 +27,9 @@ impl Tlb {
         assert!(capacity > 0, "TLB needs at least one entry");
         assert!(page_bytes.is_power_of_two(), "page size must be 2^k");
         Tlb {
-            entries: Vec::with_capacity(capacity),
-            capacity,
+            entries: vec![EMPTY; capacity].into_boxed_slice(),
             page_bits: page_bytes.trailing_zeros(),
+            last_page: EMPTY,
             accesses: 0,
             misses: 0,
         }
@@ -35,32 +39,23 @@ impl Tlb {
     #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
         self.accesses += 1;
-        let page = addr >> self.page_bits;
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            let p = self.entries.remove(pos);
-            self.entries.insert(0, p);
-            true
-        } else {
-            self.misses += 1;
-            if self.entries.len() == self.capacity {
-                self.entries.pop();
-            }
-            self.entries.insert(0, page);
-            false
+        let page = u64::from(addr >> self.page_bits);
+        // A repeat of the MRU page hits and leaves the LRU order as it is.
+        if page == self.last_page {
+            return true;
         }
-    }
-
-    /// Number of entries this TLB can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Misses per 100 accesses.
-    pub fn miss_rate_per_100(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            100.0 * self.misses as f64 / self.accesses as f64
+        self.last_page = page;
+        match self.entries.iter().position(|&p| p == page) {
+            Some(pos) => {
+                self.entries[..=pos].rotate_right(1);
+                true
+            }
+            None => {
+                self.misses += 1;
+                self.entries.rotate_right(1);
+                self.entries[0] = page;
+                false
+            }
         }
     }
 }
@@ -68,6 +63,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{stream, RefLru};
 
     #[test]
     fn same_page_hits() {
@@ -102,7 +98,23 @@ mod tests {
     }
 
     #[test]
-    fn capacity_reported() {
-        assert_eq!(Tlb::new(8, 8192).capacity(), 8);
+    fn matches_the_reference_lru_access_by_access() {
+        for seed in 1..=6u64 {
+            let addrs = stream(seed, 60_000);
+            for entries in [8, 32] {
+                let mut fast = Tlb::new(entries, 8192);
+                let mut reference = RefLru::tlb(entries, 8192);
+                for (i, &a) in addrs.iter().enumerate() {
+                    assert_eq!(
+                        fast.access(a),
+                        reference.access(a),
+                        "seed {seed}, {entries} entries, access {i} @ {a:#x}"
+                    );
+                }
+                assert_eq!(fast.accesses, reference.accesses);
+                assert_eq!(fast.misses, reference.misses, "seed {seed}, {entries}");
+                assert!(fast.misses > 0 && fast.misses < fast.accesses);
+            }
+        }
     }
 }

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate.
 #
-#   build + tests      — the seed acceptance bar (must stay green)
+#   build + tests      — the seed acceptance bar (must stay green), plus
+#                        the interp-archsim unit tests: the fast cache,
+#                        TLB and sweep models checked against a reference
+#                        LRU model, on seeded streams and real traces
 #   clippy strictness  — `unwrap_used` / `panic` are denied workspace-wide
 #                        in shipped code. Test modules are exempt (the
 #                        default clippy targets do not lint `#[cfg(test)]`
@@ -77,6 +80,9 @@ cargo build --release
 
 echo "== tests =="
 cargo test -q
+# The root package's tests do not reach the crates' own unit tests; the
+# timing model's are run explicitly (they hold its reference-model checks).
+cargo test -q -p interp-archsim
 
 echo "== clippy gate (no unwrap, no panic in shipped code) =="
 cargo clippy --workspace -q -- \
