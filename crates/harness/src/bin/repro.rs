@@ -101,16 +101,15 @@
 //! still unexecuted when its deadline passes is answered with a typed
 //! `deadline-expired` rejection instead of stale work. Malformed or
 //! unknown-target requests get typed rejections, never a daemon crash.
-//! Each member heartbeats every scan, and the fleet drains cleanly on
-//! `serve --stop` (the last member out consumes the marker). `wait ID`
-//! blocks for a response with jittered exponential backoff and replays
-//! its body/accounting onto stdout/stderr.
+//! Each member heartbeats from a background thread, and the fleet
+//! drains cleanly on `serve --stop` (the last member out consumes the
+//! marker). `wait ID` blocks for a response with jittered exponential
+//! backoff and replays its body/accounting onto stdout/stderr.
 //!
 //! Exit status: 0 success (or degraded-but-complete), 1 sweep failure,
 //! 2 usage error, 3 degraded under `--strict`, 4 journal I/O error,
-//! 5 lock timeout, 6 a live daemon blocks this one (stale legacy lease,
-//! or `--exclusive` while a fleet member is live), 7 wait timeout,
-//! 86 deliberate `--crash-after` crash.
+//! 5 lock timeout, 6 `--exclusive` while a live fleet member is serving,
+//! 7 wait timeout, 86 deliberate `--crash-after` crash.
 //!
 //! `journal-chaos` proves the recovery machinery per seed: corruption
 //! lanes damage a pristine journal and assert every defect is detected,
@@ -743,8 +742,7 @@ fn run_journal_chaos(cli: &Cli) -> ! {
 /// to the outbox. Run it again on the same cache to grow a failover
 /// fleet; dead members' claimed work is re-adopted by survivors.
 /// `--stop` instead asks the whole fleet to drain and exit. Exit status
-/// 6 when a live legacy lease blocks the cache, or under `--exclusive`
-/// when another live member is already serving.
+/// 6 under `--exclusive` when another live member is already serving.
 fn run_serve(cli: &Cli) -> ! {
     let dir = cli.cache_dir_or_default();
     if cli.stop {
@@ -754,8 +752,8 @@ fn run_serve(cli: &Cli) -> ! {
         let deadline = std::time::Instant::now() + cli.lock_timeout_or_default();
         loop {
             let status = serve::serve_status(&dir);
-            if !status.daemon_live {
-                if status.daemon_pid.is_none() {
+            if !status.member_live {
+                if status.member_pid.is_none() {
                     // Nothing to stop: withdraw the marker so it cannot
                     // kill the next daemon at startup.
                     if let Err(e) = serve::withdraw_stop(&dir) {
@@ -770,7 +768,7 @@ fn run_serve(cli: &Cli) -> ! {
             if std::time::Instant::now() >= deadline {
                 eprintln!(
                     "repro: serve daemon (pid {}) did not drain within the lock timeout",
-                    status.daemon_pid.unwrap_or(0)
+                    status.member_pid.unwrap_or(0)
                 );
                 std::process::exit(1);
             }

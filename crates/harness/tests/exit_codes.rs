@@ -114,11 +114,15 @@ fn exit_6_second_daemon() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn daemon");
-    // Heartbeat implies the lease is held AND stale-stop cleanup is done
-    // (so the --stop below cannot be swallowed as stale).
-    let heartbeat = dir.join("serve/heartbeat");
+    // The member's heartbeat (`serve/fleet/<token>.hb`) implies its
+    // lease is held AND stale-stop cleanup is done (so the --stop below
+    // cannot be swallowed as stale).
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !heartbeat.exists() {
+    while !std::fs::read_dir(dir.join("serve/fleet")).is_ok_and(|entries| {
+        entries
+            .filter_map(Result::ok)
+            .any(|e| e.file_name().to_string_lossy().ends_with(".hb"))
+    }) {
         assert!(Instant::now() < deadline, "daemon never heartbeat");
         std::thread::sleep(Duration::from_millis(5));
     }

@@ -272,9 +272,9 @@ fn crashed_daemon_restart_recovers_exactly_once() {
     let _ = std::fs::remove_dir_all(&shared);
 }
 
-/// A daemon killed with SIGKILL mid-request leaves a dead lease and an
-/// orphaned claim; a restarted daemon steals the lease, re-claims the
-/// work, and the response still balances exactly-once.
+/// A daemon killed with SIGKILL mid-request leaves a dead member lease
+/// and an orphaned claim; a restarted daemon retires the lease, adopts
+/// the work, and the response still balances exactly-once.
 #[test]
 fn sigkilled_daemon_restart_recovers() {
     let cold = fresh_dir("kill-cold");
@@ -343,10 +343,18 @@ fn second_daemon_refused_and_stop_drains() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn daemon");
-    // The daemon clears stale stop markers after registering; the first
-    // heartbeat proves startup is done, so the --stop below cannot be
-    // swallowed as stale.
-    wait_for(&dir.join("serve/heartbeat"), "daemon heartbeat");
+    // The daemon clears stale stop markers after registering; the
+    // member's first heartbeat (`serve/fleet/<token>.hb`) proves startup
+    // is done, so the --stop below cannot be swallowed as stale.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !std::fs::read_dir(dir.join("serve/fleet")).is_ok_and(|entries| {
+        entries
+            .filter_map(Result::ok)
+            .any(|e| e.file_name().to_string_lossy().ends_with(".hb"))
+    }) {
+        assert!(Instant::now() < deadline, "timed out waiting for daemon heartbeat");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let second = repro(&["serve", "--cache-dir", &dir_s, "--exclusive"]);
     assert_eq!(

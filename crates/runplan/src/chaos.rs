@@ -13,7 +13,7 @@ use crate::journal::{
     self, JournalConfig, JournalDefectKind, JournalError, JournalErrorKind, ResumeReport,
     JOURNAL_FILE,
 };
-use crate::lock::{Claims, Sessions, LOCK_FILE};
+use crate::lock::{CLAIMS_DIR, LOCK_FILE, WRITERS_DIR};
 use crate::plan::Plan;
 use crate::pool::{self, supervise_with, ExecutedPlan};
 use crate::supervise::{FailureKind, RunFailure, SuperviseConfig};
@@ -270,10 +270,10 @@ pub enum JournalChaosLane {
     /// response — never a daemon crash.
     TornServeRequest,
     /// Serve lane: a daemon died between claiming a request and
-    /// committing its response (journal truncated to a prefix, dead pid
-    /// lease, claimed request orphaned in `work/`). Expect the next
-    /// daemon to steal the lease, recover the orphan, reuse the prefix,
-    /// and respond byte-identically to a cold run.
+    /// committing its response (journal truncated to a prefix, dead
+    /// fleet member lease, claimed request orphaned in its work dir).
+    /// Expect the next daemon to retire the lease, adopt the orphan,
+    /// reuse the prefix, and respond byte-identically to a cold run.
     ServeCrashRecovery,
     /// Serve lane: N concurrent clients race one daemon while a batch
     /// campaign shares the cache. Expect every response ok and
@@ -752,21 +752,14 @@ fn multi_writer_seed(
                 format!("pid {DEAD_PID}\ntoken corpse\nepoch 0\n"),
             )
             .map_err(|e| journal_io(dir, e))?;
-            let sessions = Sessions::new(dir);
-            sessions.register("corpse").map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                dir.join(crate::lock::WRITERS_DIR).join("corpse"),
-                format!("pid {DEAD_PID}\n"),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            let victim = plan.requests()[(seed as usize) % plan.len()];
-            let claims = Claims::new(dir);
-            claims
-                .claim(victim.fingerprint(), "corpse")
+            for sub in [WRITERS_DIR, CLAIMS_DIR] {
+                std::fs::create_dir_all(dir.join(sub)).map_err(|e| journal_io(dir, e))?;
+            }
+            std::fs::write(dir.join(WRITERS_DIR).join("corpse"), format!("pid {DEAD_PID}\n"))
                 .map_err(|e| journal_io(dir, e))?;
+            let victim = plan.requests()[(seed as usize) % plan.len()];
             std::fs::write(
-                dir.join(crate::lock::CLAIMS_DIR)
-                    .join(format!("{:016x}", victim.fingerprint())),
+                dir.join(CLAIMS_DIR).join(format!("{:016x}", victim.fingerprint())),
                 format!("pid {DEAD_PID}\ntoken corpse\n"),
             )
             .map_err(|e| journal_io(dir, e))?;
@@ -908,7 +901,7 @@ pub struct ServeChaosOutcome {
     /// Every ok response body was byte-identical to the cold baseline
     /// rendering.
     pub body_identical: bool,
-    /// The daemon exited cleanly and released its pid lease.
+    /// The daemons exited cleanly and retired their member leases.
     pub clean_exit: bool,
 }
 
@@ -1079,16 +1072,17 @@ fn serve_chaos_seed(
                 executed_total: 0,
                 exactly_once: true,
                 body_identical: true,
-                clean_exit: !dir.join(serve::DAEMON_FILE).exists(),
+                clean_exit: crate::fleet::fleet_members(dir).is_empty(),
             })
         }
         JournalChaosLane::ServeCrashRecovery => {
             // A daemon died between claiming a request and committing its
-            // response: the journal holds only a prefix of the plan, the
-            // pid lease names a corpse, and the claimed request sits
-            // orphaned in work/. The fresh daemon must steal the lease,
-            // recover the orphan, reuse the prefix, execute the residue,
-            // and answer byte-identically to a cold run.
+            // response: the journal holds only a prefix of the plan, its
+            // fleet member lease names a corpse, and the claimed request
+            // sits orphaned in the corpse's work dir. The fresh daemon
+            // must retire the corpse, adopt the orphan, reuse the prefix,
+            // execute the residue, and answer byte-identically to a cold
+            // run.
             let spans = journal::record_spans(pristine);
             let n = spans.len();
             if n < 2 {
@@ -1097,21 +1091,18 @@ fn serve_chaos_seed(
             let prefix = 1 + rng.index(0, n - 1);
             std::fs::write(dir.join(JOURNAL_FILE), &pristine[..spans[prefix - 1].end])
                 .map_err(|e| journal_io(dir, e))?;
-            let work = dir.join(WORK_DIR);
+            let fleet_dir = dir.join(crate::fleet::FLEET_DIR);
+            std::fs::create_dir_all(&fleet_dir).map_err(|e| journal_io(dir, e))?;
+            std::fs::write(
+                fleet_dir.join("corpse"),
+                format!("pid {DEAD_PID}\ntoken corpse\n"),
+            )
+            .map_err(|e| journal_io(dir, e))?;
+            let work = dir.join(WORK_DIR).join("corpse");
             std::fs::create_dir_all(&work).map_err(|e| journal_io(dir, e))?;
             std::fs::write(
                 work.join("crashed.req"),
                 serve::encode_request(&chaos_request("crashed")),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                dir.join(serve::DAEMON_FILE),
-                format!("pid {DEAD_PID}\ntoken corpse\n"),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                dir.join(serve::HEARTBEAT_FILE),
-                format!("pid {DEAD_PID}\ntick 0\nunix_ms 0\n"),
             )
             .map_err(|e| journal_io(dir, e))?;
             serve_config.max_requests = Some(1);
@@ -1148,7 +1139,7 @@ fn serve_chaos_seed(
                 executed_total,
                 exactly_once,
                 body_identical,
-                clean_exit: !dir.join(serve::DAEMON_FILE).exists()
+                clean_exit: crate::fleet::fleet_members(dir).is_empty()
                     && !work.join("crashed.req").exists(),
             })
         }
@@ -1236,7 +1227,7 @@ fn serve_chaos_seed(
                 exactly_once,
                 body_identical,
                 clean_exit: report.served + report.rejected == clients
-                    && !dir.join(serve::DAEMON_FILE).exists(),
+                    && crate::fleet::fleet_members(dir).is_empty(),
             })
         }
         JournalChaosLane::FleetMemberKill => {
@@ -1311,8 +1302,7 @@ fn serve_chaos_seed(
                 exactly_once,
                 body_identical,
                 clean_exit: crate::fleet::fleet_members(dir).is_empty()
-                    && !wedged_work.exists()
-                    && !dir.join(serve::DAEMON_FILE).exists(),
+                    && !wedged_work.exists(),
             })
         }
         JournalChaosLane::FleetOrphanAdoption => {
@@ -1342,7 +1332,7 @@ fn serve_chaos_seed(
                 let mut request = chaos_request(&format!("fleet-{i}"));
                 request.priority = (i as i64 % 3) - 1;
                 request.deadline_unix_ms =
-                    Some(crate::fleet::unix_ms() as u64 + 600_000);
+                    Some(crate::lease::unix_ms() as u64 + 600_000);
                 serve::submit(dir, &request)?;
                 ids.push(request.id);
             }
@@ -1451,8 +1441,7 @@ fn serve_chaos_seed(
                 executed_total: 0,
                 exactly_once: !dir.join(JOURNAL_FILE).exists(),
                 body_identical: true,
-                clean_exit: crate::fleet::fleet_members(dir).is_empty()
-                    && !dir.join(serve::DAEMON_FILE).exists(),
+                clean_exit: crate::fleet::fleet_members(dir).is_empty(),
             })
         }
         _ => Ok(failed_serve(seed, lane, planned)),
@@ -1754,7 +1743,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "interp-fleet-chaos-{}-{}",
             std::process::id(),
-            crate::lock::fresh_token()
+            crate::lease::fresh_token()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");

@@ -14,7 +14,8 @@ use crate::journal::{
     encode_image, io_err, lock_err, publish_bytes, JournalDefect, JournalError,
     JOURNAL_FILE,
 };
-use crate::lock::{self, fresh_token, sweep_lock_debris, Claims, LockConfig, Sessions};
+use crate::lease::fresh_token;
+use crate::lock::{self, LockConfig};
 use std::path::Path;
 use std::time::Duration;
 
@@ -116,15 +117,12 @@ pub fn compact_with(
 ) -> Result<CompactReport, JournalError> {
     let path = dir.join(JOURNAL_FILE);
     let responses_swept = keep_responses.map_or(0, |keep| sweep_outbox(dir, keep));
-    sweep_lock_debris(dir);
     let lock_config =
         LockConfig::for_dir(dir, &fresh_token(), epoch).with_timeout(lock_timeout);
     let _guard = lock::acquire(&lock_config).map_err(lock_err)?;
-    // Housekeeping that normally rides on open: drop dead writers'
-    // registry entries and claims while we hold the lock anyway.
-    let sessions = Sessions::new(dir);
-    sessions.sweep_stale();
-    Claims::new(dir).sweep_stale(&sessions);
+    // Housekeeping that normally rides on open: drop lock debris, dead
+    // writers' registry entries and claims while we hold the lock anyway.
+    lock::sweep_stale(dir);
 
     let bytes = match std::fs::read(&path) {
         Ok(bytes) => bytes,

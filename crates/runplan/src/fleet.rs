@@ -1,33 +1,28 @@
 //! Serve-fleet membership: the registry that lets N `repro serve`
 //! daemons share one cache.
 //!
-//! PR 8's daemon held a single `serve/daemon.pid` lease — one daemon
-//! per cache, a single point of failure. The fleet registry replaces
-//! that lease with one *member file* per daemon under `serve/fleet/`,
-//! published with the same fsynced-temp + atomic hard-link idiom as the
-//! journal lock, so membership is crash-visible state on the shared
-//! filesystem:
+//! Each daemon holds one [`crate::lease`] under `serve/fleet/`, so
+//! membership is crash-visible state on the shared filesystem:
 //!
 //! ```text
-//! serve/fleet/<token>       pid <pid> / token <token>   (hard-linked)
+//! serve/fleet/<token>       pid <pid> / token <token>   (the member lease)
 //! serve/fleet/<token>.hb    pid / tick / unix_ms / served / in-flight
 //! serve/work/<token>/       requests this member has claimed
 //! ```
 //!
 //! Every member claims inbox requests by atomic rename into its own
-//! work directory, so two members can never admit the same request.
-//! Liveness is judged the same way the lock judges it — `/proc/<pid>`
-//! — with the per-member heartbeat as a second signal: a member whose
-//! pid is dead, or whose heartbeat is older than the configured
-//! staleness horizon, is *dead to the fleet*. Any live member sweeps a
-//! dead member's claimed work back to the inbox (exactly-once: the
-//! rename from the dead member's work dir succeeds for one sweeper)
-//! and retires its registry entries, so `kill -9` of any daemon
-//! mid-request loses nothing.
+//! work directory, so two members can never admit the same request. A
+//! member whose pid is dead, or whose heartbeat is older than the
+//! configured staleness horizon, is *dead to the fleet*
+//! ([`crate::lease::LeaseRecord::is_dead`]). Any live member retires a
+//! dead member's lease and sweeps its claimed work back to the inbox
+//! (exactly-once: the rename from the dead member's work dir succeeds
+//! for one sweeper), so `kill -9` of any daemon mid-request loses
+//! nothing.
 
 use crate::journal::{io_err, JournalError};
-use crate::lock::{fresh_token, holder_pid, holder_token, parse_field, pid_alive};
-use std::io::Write as _;
+use crate::lease::{self, fresh_token, Lease};
+use crate::serve::scan_requests;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,89 +35,49 @@ pub const FLEET_DIR: &str = "serve/fleet";
 /// treats it as dead (wedged) and re-adopts its claimed work.
 pub const DEFAULT_MEMBER_STALE: Duration = Duration::from_secs(30);
 
-/// Milliseconds since the Unix epoch (0 if the clock is broken).
-pub(crate) fn unix_ms() -> u128 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis())
-}
-
-/// Render one heartbeat file body.
-fn heartbeat_body(tick: u64, served: u64, in_flight: usize) -> String {
-    format!(
-        "pid {}\ntick {tick}\nunix_ms {}\nserved {served}\nin-flight {in_flight}\n",
-        std::process::id(),
-        unix_ms()
-    )
-}
-
-/// One daemon's registered identity in the fleet: its member file, its
-/// heartbeat file, and its private work directory. Registration is the
-/// constructor; `Drop` retires all three.
+/// One daemon's registered identity in the fleet: its member lease (with
+/// the heartbeat companion) and its private work directory. Registration
+/// is the constructor; `Drop` retires them.
 #[derive(Debug)]
 pub struct FleetMembership {
     /// This member's unique registry token.
     pub token: String,
     /// This member's private claimed-request directory.
     pub work_dir: PathBuf,
-    member_path: PathBuf,
-    hb_path: PathBuf,
+    lease: Lease,
 }
 
 impl FleetMembership {
     /// Register this process as a fleet member of `cache_dir`: publish
-    /// the member file (fsynced temp, atomic hard link — the same
-    /// no-overwrite idiom as the journal lock) and create the member's
-    /// work directory.
+    /// the member lease, then create the member's work directory.
     pub fn register(cache_dir: &Path) -> Result<FleetMembership, JournalError> {
         let fleet_dir = cache_dir.join(FLEET_DIR);
         std::fs::create_dir_all(&fleet_dir).map_err(|e| io_err(&fleet_dir, "create-dir", e))?;
         loop {
             let token = fresh_token();
-            let member_path = fleet_dir.join(&token);
-            let tmp = fleet_dir.join(format!(".tmp-{token}"));
-            {
-                let mut f =
-                    std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, "write", e))?;
-                f.write_all(format!("pid {}\ntoken {token}\n", std::process::id()).as_bytes())
-                    .map_err(|e| io_err(&tmp, "write", e))?;
-                f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
-            }
-            let linked = std::fs::hard_link(&tmp, &member_path);
-            let _ = std::fs::remove_file(&tmp);
-            match linked {
-                Ok(()) => {
-                    let work_dir = cache_dir.join(crate::serve::WORK_DIR).join(&token);
-                    std::fs::create_dir_all(&work_dir)
-                        .map_err(|e| io_err(&work_dir, "create-dir", e))?;
-                    let hb_path = fleet_dir.join(format!("{token}.hb"));
-                    return Ok(FleetMembership { token, work_dir, member_path, hb_path });
-                }
-                // A token collision is all but impossible (pid +
-                // counter + clock), but losing the race is not an
-                // error: take a fresh identity and re-link.
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(io_err(&member_path, "write", e)),
-            }
+            let path = fleet_dir.join(&token);
+            let body = format!("pid {}\ntoken {token}\n", std::process::id());
+            // A token collision is all but impossible (pid + counter +
+            // clock), but losing the race is not an error: take a fresh
+            // identity and publish again.
+            let Some(lease) =
+                Lease::publish(&path, &token, &body).map_err(|e| io_err(&path, "write", e))?
+            else {
+                continue;
+            };
+            let work_dir = cache_dir.join(crate::serve::WORK_DIR).join(&token);
+            std::fs::create_dir_all(&work_dir).map_err(|e| io_err(&work_dir, "create-dir", e))?;
+            return Ok(FleetMembership { token, work_dir, lease });
         }
     }
 
-    /// Rewrite this member's heartbeat (best-effort: a failed heartbeat
-    /// must not kill the daemon). Carries the member's served and
-    /// in-flight counters for the `repro status` fleet table.
-    pub fn heartbeat(&self, tick: u64, served: u64, in_flight: usize) {
-        let _ = std::fs::write(&self.hb_path, heartbeat_body(tick, served, in_flight));
-    }
-
     /// Is this member's registration still on disk? A peer that judged
-    /// this member wedged (stale heartbeat) retires its member file and
-    /// work dir; after that, every claim rename fails on the missing
-    /// work dir and this process serves nothing until it re-registers
-    /// under a fresh token.
+    /// this member wedged (stale heartbeat) retires its lease and work
+    /// dir; after that, every claim rename fails on the missing work dir
+    /// and this process serves nothing until it re-registers under a
+    /// fresh token.
     pub fn still_registered(&self) -> bool {
-        self.work_dir.is_dir()
-            && std::fs::read_to_string(&self.member_path)
-                .is_ok_and(|content| holder_token(&content) == Some(self.token.as_str()))
+        self.work_dir.is_dir() && self.lease.held()
     }
 
     /// Spawn this member's background heartbeat writer: a thread that
@@ -132,7 +87,17 @@ impl FleetMembership {
     /// being judged wedged by its peers. Drop the pulse *before* the
     /// membership so it cannot recreate a retired heartbeat file.
     pub fn spawn_pulse(&self, stale_after: Duration) -> HeartbeatPulse {
-        HeartbeatPulse::spawn(self.hb_path.clone(), stale_after)
+        HeartbeatPulse::spawn(self.lease.heartbeat_path(), stale_after)
+    }
+}
+
+impl Drop for FleetMembership {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(self.lease.heartbeat_path());
+        // Empty on a clean exit; a non-empty dir (claimed work we never
+        // finished) is deliberately left for the fleet to re-adopt once
+        // the lease field retires our registration.
+        let _ = std::fs::remove_dir(&self.work_dir);
     }
 }
 
@@ -168,10 +133,13 @@ impl HeartbeatPulse {
                 if since_rewrite >= interval || shared.dirty.swap(false, Ordering::AcqRel) {
                     let _ = std::fs::write(
                         &hb_path,
-                        heartbeat_body(
+                        format!(
+                            "pid {}\ntick {}\nunix_ms {}\nserved {}\nin-flight {}\n",
+                            std::process::id(),
                             shared.tick.load(Ordering::Relaxed),
+                            lease::unix_ms(),
                             shared.served.load(Ordering::Relaxed),
-                            shared.in_flight.load(Ordering::Relaxed) as usize,
+                            shared.in_flight.load(Ordering::Relaxed),
                         ),
                     );
                     since_rewrite = Duration::ZERO;
@@ -202,21 +170,6 @@ impl Drop for HeartbeatPulse {
     }
 }
 
-impl Drop for FleetMembership {
-    fn drop(&mut self) {
-        // Retire only our own entry (token-checked, like the lock).
-        if let Ok(content) = std::fs::read_to_string(&self.member_path) {
-            if holder_token(&content) == Some(self.token.as_str()) {
-                let _ = std::fs::remove_file(&self.member_path);
-            }
-        }
-        let _ = std::fs::remove_file(&self.hb_path);
-        // Empty on a clean exit; a non-empty dir (claimed work we never
-        // finished) is deliberately left for the fleet to re-adopt.
-        let _ = std::fs::remove_dir(&self.work_dir);
-    }
-}
-
 /// One member's row in the fleet table, as read-only observers (and
 /// other members) see it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -235,142 +188,73 @@ pub struct FleetMemberInfo {
     pub served: u64,
 }
 
-impl FleetMemberInfo {
-    /// Is this member dead to the fleet under `stale_after`? Dead pid,
-    /// or a heartbeat older than the staleness horizon (a live pid
-    /// with *no* heartbeat yet is still starting up, not dead).
-    pub fn is_dead(&self, stale_after: Duration) -> bool {
-        !self.pid_live
-            || self
-                .heartbeat_age_ms
-                .is_some_and(|age| age > stale_after.as_millis())
-    }
-}
-
-fn parse_hb_field(content: &str, key: &str) -> Option<u128> {
-    parse_field(content, key).and_then(|v| v.parse().ok())
-}
-
 /// Snapshot every registered fleet member of `cache_dir`, sorted by
 /// token. Read-only: safe for `repro status` while daemons run.
 pub fn fleet_members(cache_dir: &Path) -> Vec<FleetMemberInfo> {
     let fleet_dir = cache_dir.join(FLEET_DIR);
-    let Ok(entries) = std::fs::read_dir(&fleet_dir) else {
-        return Vec::new();
-    };
-    let mut out: Vec<FleetMemberInfo> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let token = entry.file_name().to_str()?.to_string();
-            if token.starts_with('.') || token.ends_with(".hb") {
-                return None;
-            }
-            let content = std::fs::read_to_string(entry.path()).ok()?;
-            let pid = holder_pid(&content).unwrap_or(0);
-            let hb = std::fs::read_to_string(fleet_dir.join(format!("{token}.hb"))).ok();
-            let heartbeat_age_ms = hb
-                .as_deref()
-                .and_then(|c| parse_hb_field(c, "unix_ms"))
-                .map(|then| unix_ms().saturating_sub(then));
-            let served = hb
-                .as_deref()
-                .and_then(|c| parse_hb_field(c, "served"))
-                .unwrap_or(0) as u64;
-            let in_flight = std::fs::read_dir(
-                cache_dir.join(crate::serve::WORK_DIR).join(&token),
-            )
-            .map_or(0, |entries| {
-                entries
-                    .flatten()
-                    .filter(|e| {
-                        e.file_name().to_str().is_some_and(|n| n.ends_with(".req"))
-                    })
-                    .count()
-            });
-            Some(FleetMemberInfo {
-                token,
-                pid,
-                pid_live: pid_alive(pid),
-                heartbeat_age_ms,
-                in_flight,
+    let now = lease::unix_ms();
+    lease::list(&fleet_dir)
+        .into_iter()
+        .map(|(token, record)| {
+            let served = std::fs::read_to_string(lease::heartbeat_path(&fleet_dir.join(&token)))
+                .ok()
+                .and_then(|hb| lease::field(&hb, "served")?.parse().ok())
+                .unwrap_or(0);
+            FleetMemberInfo {
+                in_flight: scan_requests(&cache_dir.join(crate::serve::WORK_DIR).join(&token)).len(),
+                pid: record.pid,
+                pid_live: record.pid_live,
+                heartbeat_age_ms: record.heartbeat_ms.map(|then| now.saturating_sub(then)),
                 served,
-            })
+                token,
+            }
         })
-        .collect();
-    out.sort_by(|a, b| a.token.cmp(&b.token));
-    out
+        .collect()
 }
 
 /// Sweep every dead member of `cache_dir`'s fleet (excluding
-/// `self_token`): move its claimed requests back to the inbox for
-/// re-service and retire its member, heartbeat, and work-dir entries.
+/// `self_token`): retire its lease, then move the claimed requests of
+/// every *unregistered* work dir back to the inbox for re-service.
 /// Returns the number of orphaned requests re-adopted. Exactly-once by
 /// construction — each orphan's rename into the inbox succeeds for at
 /// most one sweeping member.
+///
+/// Unregistered work dirs are a dead member's (just retired) or one
+/// that deregistered with claims still on disk (clean `Drop` or an
+/// error-path exit). This never races a mid-registration member:
+/// `register` publishes the lease *before* creating the work dir, so
+/// any work dir whose lease is absent at this instant belongs to no one.
 pub fn sweep_dead_members(
     cache_dir: &Path,
     stale_after: Duration,
     self_token: Option<&str>,
 ) -> usize {
-    let inbox = cache_dir.join(crate::serve::INBOX_DIR);
     let fleet_dir = cache_dir.join(FLEET_DIR);
+    let now = lease::unix_ms();
+    lease::sweep(&fleet_dir, |token, record| {
+        Some(token) != self_token && record.is_dead(now, stale_after)
+    });
+    let inbox = cache_dir.join(crate::serve::INBOX_DIR);
     let mut adopted = 0;
-    for member in fleet_members(cache_dir) {
-        if Some(member.token.as_str()) == self_token || !member.is_dead(stale_after) {
+    let Ok(work_dirs) = std::fs::read_dir(cache_dir.join(crate::serve::WORK_DIR)) else {
+        return 0;
+    };
+    for entry in work_dirs.flatten() {
+        let Ok(token) = entry.file_name().into_string() else {
             continue;
+        };
+        if Some(token.as_str()) == self_token
+            || !entry.path().is_dir()
+            || fleet_dir.join(&token).exists()
+        {
+            continue; // ours, or registered (possibly mid-startup)
         }
-        let work_dir = cache_dir.join(crate::serve::WORK_DIR).join(&member.token);
-        if let Ok(entries) = std::fs::read_dir(&work_dir) {
-            for entry in entries.flatten() {
-                let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-                    continue;
-                };
-                if !name.ends_with(".req") {
-                    continue;
-                }
-                if std::fs::rename(entry.path(), inbox.join(&name)).is_ok() {
-                    adopted += 1;
-                }
+        for (id, path) in scan_requests(&entry.path()) {
+            if std::fs::rename(path, inbox.join(format!("{id}.req"))).is_ok() {
+                adopted += 1;
             }
         }
-        let _ = std::fs::remove_dir(&work_dir);
-        let _ = std::fs::remove_file(fleet_dir.join(format!("{}.hb", member.token)));
-        let _ = std::fs::remove_file(fleet_dir.join(&member.token));
-    }
-    // Second pass: *unregistered* work dirs — a member that deregistered
-    // (clean Drop or error-path exit) with claims still on disk. Safe
-    // against racing a mid-registration member because `register`
-    // publishes the member file *before* creating the work dir: any
-    // work dir whose member file is absent at this instant belongs to
-    // no one. The existence check is per-subdir and fresh, never a
-    // snapshot.
-    let work_root = cache_dir.join(crate::serve::WORK_DIR);
-    if let Ok(entries) = std::fs::read_dir(&work_root) {
-        for entry in entries.flatten() {
-            let Some(token) = entry.file_name().to_str().map(str::to_string) else {
-                continue;
-            };
-            if Some(token.as_str()) == self_token || !entry.path().is_dir() {
-                continue;
-            }
-            if fleet_dir.join(&token).exists() {
-                continue; // registered (possibly mid-startup): not ours
-            }
-            if let Ok(claims) = std::fs::read_dir(entry.path()) {
-                for claim in claims.flatten() {
-                    let Some(name) = claim.file_name().to_str().map(str::to_string) else {
-                        continue;
-                    };
-                    if !name.ends_with(".req") {
-                        continue;
-                    }
-                    if std::fs::rename(claim.path(), inbox.join(&name)).is_ok() {
-                        adopted += 1;
-                    }
-                }
-            }
-            let _ = std::fs::remove_dir(entry.path());
-        }
+        let _ = std::fs::remove_dir(entry.path());
     }
     adopted
 }
@@ -397,19 +281,21 @@ mod tests {
     }
 
     #[test]
-    fn register_heartbeat_and_drop_round_trip() {
+    fn register_and_drop_round_trip() {
         let dir = fresh_dir("register");
         let member = FleetMembership::register(&dir).expect("register");
-        member.heartbeat(3, 7, 1);
         let members = fleet_members(&dir);
         assert_eq!(members.len(), 1);
+        assert_eq!(members[0].token, member.token);
         assert_eq!(members[0].pid, std::process::id());
         assert!(members[0].pid_live);
-        assert_eq!(members[0].served, 7);
-        assert!(members[0].heartbeat_age_ms.is_some());
-        assert!(!members[0].is_dead(DEFAULT_MEMBER_STALE));
+        assert_eq!(members[0].heartbeat_age_ms, None, "no heartbeat before the pulse");
         drop(member);
         assert!(fleet_members(&dir).is_empty(), "drop must deregister");
+        assert!(
+            std::fs::read_dir(dir.join(crate::serve::WORK_DIR)).expect("work").next().is_none(),
+            "drop must retire the empty work dir"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -426,7 +312,7 @@ mod tests {
         loop {
             let members = fleet_members(&dir);
             if members.len() == 1 && members[0].served == 9 {
-                assert!(!members[0].is_dead(Duration::from_secs(5)));
+                assert!(members[0].heartbeat_age_ms.is_some_and(|age| age < 5_000));
                 break;
             }
             assert!(std::time::Instant::now() < deadline, "pulse never wrote: {members:?}");
@@ -435,6 +321,10 @@ mod tests {
         drop(pulse);
         drop(member);
         assert!(fleet_members(&dir).is_empty(), "drop must deregister");
+        assert!(
+            std::fs::read_dir(dir.join(FLEET_DIR)).expect("fleet").next().is_none(),
+            "drop must retire the heartbeat too"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -489,24 +379,28 @@ mod tests {
         let dir = fresh_dir("stale");
         let fleet_dir = dir.join(FLEET_DIR);
         std::fs::create_dir_all(&fleet_dir).expect("mkdir");
-        // Our own (alive) pid, but a heartbeat from the epoch.
-        std::fs::write(
-            fleet_dir.join("wedged"),
-            format!("pid {}\ntoken wedged\n", std::process::id()),
-        )
-        .expect("member");
+        let plant = || {
+            // Our own (alive) pid.
+            std::fs::write(
+                fleet_dir.join("wedged"),
+                format!("pid {}\ntoken wedged\n", std::process::id()),
+            )
+            .expect("member");
+        };
+        // A member that has not heartbeat *yet* is starting, not dead.
+        plant();
+        sweep_dead_members(&dir, Duration::from_millis(10), None);
+        assert_eq!(fleet_members(&dir).len(), 1);
+        // A heartbeat from the epoch: wedged, retired with its companion.
         std::fs::write(
             fleet_dir.join("wedged.hb"),
             format!("pid {}\ntick 1\nunix_ms 1\nserved 0\nin-flight 0\n", std::process::id()),
         )
         .expect("hb");
-        let members = fleet_members(&dir);
-        assert_eq!(members.len(), 1);
-        assert!(members[0].pid_live);
-        assert!(members[0].is_dead(Duration::from_millis(10)), "stale heartbeat");
-        // A member that has not heartbeat *yet* is starting, not dead.
-        std::fs::remove_file(fleet_dir.join("wedged.hb")).expect("rm");
-        assert!(!fleet_members(&dir)[0].is_dead(Duration::from_millis(10)));
+        assert!(fleet_members(&dir)[0].pid_live);
+        sweep_dead_members(&dir, Duration::from_millis(10), None);
+        assert!(fleet_members(&dir).is_empty(), "stale heartbeat");
+        assert!(!fleet_dir.join("wedged.hb").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -515,13 +409,8 @@ mod tests {
         let dir = fresh_dir("self");
         let fleet_dir = dir.join(FLEET_DIR);
         std::fs::create_dir_all(&fleet_dir).expect("mkdir");
-        std::fs::write(
-            fleet_dir.join("me"),
-            format!("pid {}\ntoken me\n", std::process::id()),
-        )
-        .expect("member");
-        // Even under a zero staleness horizon (no heartbeat means
-        // "starting", and self is excluded outright).
+        std::fs::write(fleet_dir.join("me"), "pid 4000000000\ntoken me\n").expect("member");
+        // Even with a dead pid: self is excluded outright.
         assert_eq!(sweep_dead_members(&dir, Duration::ZERO, Some("me")), 0);
         assert_eq!(fleet_members(&dir).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);

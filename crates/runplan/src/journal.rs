@@ -77,10 +77,8 @@
 //! into a permanent one.
 
 use crate::fingerprint::{current_epoch, RECORD_VERSION};
-use crate::lock::{
-    self, fresh_token, sweep_lock_debris, Claims, LockConfig, LockError, LockErrorKind, Sessions,
-    DEFAULT_LOCK_TIMEOUT,
-};
+use crate::lease::{fresh_token, Lease};
+use crate::lock::{self, LockConfig, LockError, LockErrorKind, DEFAULT_LOCK_TIMEOUT};
 use crate::plan::Plan;
 use crate::pool::{
     classify_guard_failure, deadline_limits, supervise_with, ExecutedPlan, RunTiming,
@@ -573,6 +571,9 @@ pub struct JournalWriter {
     lock: LockConfig,
     records: BTreeMap<u64, JournalRecord>,
     appended: u64,
+    /// This writer's session lease (`writers/<token>`), when registered;
+    /// dropping the writer deregisters it.
+    _session: Option<Lease>,
 }
 
 impl JournalWriter {
@@ -596,7 +597,8 @@ impl JournalWriter {
     /// canonical republish — happens under one hold of the journal lock,
     /// and with `register` the session lands in the writers registry
     /// *before* the lock is released, so a concurrent opener can never
-    /// truncate records this session is about to rely on.
+    /// truncate records this session is about to rely on. The session
+    /// stays registered until the writer drops.
     pub fn open_with(
         dir: &Path,
         epoch: u64,
@@ -606,22 +608,18 @@ impl JournalWriter {
         register: bool,
     ) -> Result<(JournalWriter, LoadedJournal), JournalError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "create-dir", e))?;
-        sweep_lock_debris(dir);
         let lock_config = LockConfig::for_dir(dir, token, epoch).with_timeout(lock_timeout);
         let guard = lock::acquire(&lock_config).map_err(lock_err)?;
-        let sessions = Sessions::new(dir);
-        sessions.sweep_stale();
-        Claims::new(dir).sweep_stale(&sessions);
-        if register {
-            sessions
-                .register(token)
-                .map_err(|e| io_err(&dir.join(lock::WRITERS_DIR), "write", e))?;
-        }
+        lock::sweep_stale(dir);
+        let session = register
+            .then(|| lock::register_session(dir, token))
+            .transpose()
+            .map_err(|e| io_err(&dir.join(lock::WRITERS_DIR), "write", e))?;
         let path = dir.join(JOURNAL_FILE);
         // Campaign join: a fresh (non-resume) run may only wipe the
         // journal when nobody else is writing it; with live writers
         // registered, their records are the campaign's shared state.
-        let join = !resume && sessions.live_others(token) > 0;
+        let join = !resume && lock::live_sessions_except(dir, token) > 0;
         let loaded =
             if resume || join { load_file(&path, epoch)? } else { LoadedJournal::default() };
         let writer = JournalWriter {
@@ -630,6 +628,7 @@ impl JournalWriter {
             lock: lock_config,
             records: loaded.records.clone(),
             appended: 0,
+            _session: session,
         };
         writer.persist()?;
         drop(guard);
@@ -728,20 +727,19 @@ pub enum Gate {
 #[derive(Debug)]
 pub struct JournalSession {
     writer: Mutex<JournalWriter>,
-    sessions: Sessions,
-    claims: Claims,
+    dir: PathBuf,
     token: String,
     crash_after: Option<u64>,
 }
 
 impl JournalSession {
     /// Wrap an opened (registered) writer for coordinated execution.
+    /// The session ends — its registration retired — when this drops.
     pub fn new(writer: JournalWriter, dir: &Path, crash_after: Option<u64>) -> JournalSession {
         let token = writer.lock_config().token.clone();
         JournalSession {
             writer: Mutex::new(writer),
-            sessions: Sessions::new(dir),
-            claims: Claims::new(dir),
+            dir: dir.to_path_buf(),
             token,
             crash_after,
         }
@@ -765,11 +763,10 @@ impl JournalSession {
             // A fingerprint hit whose label disagrees is a key collision
             // (or a tampered record): distrust it and execute ourselves.
         }
-        if self.claims.live_by_other(fingerprint, &self.token, &self.sessions) {
+        if lock::claimed_by_other(&self.dir, fingerprint, &self.token) {
             return Ok(Gate::Wait);
         }
-        self.claims
-            .claim(fingerprint, &self.token)
+        lock::claim(&self.dir, fingerprint, &self.token)
             .map_err(|e| io_err(&lock_config.path, "write", e))?;
         Ok(Gate::Execute)
     }
@@ -791,12 +788,12 @@ impl JournalSession {
             Ok(appended) => appended,
             Err(e) => {
                 drop(writer);
-                self.claims.release(fingerprint);
+                lock::release_claim(&self.dir, fingerprint);
                 return Err(e);
             }
         };
         if appended && self.crash_after.is_some_and(|n| writer.appends() >= n) {
-            self.claims.release(fingerprint);
+            lock::release_claim(&self.dir, fingerprint);
             // The crash harness: die *after* the append is durable,
             // exactly like a power cut between runs.
             eprintln!(
@@ -806,21 +803,14 @@ impl JournalSession {
             std::process::exit(CRASH_EXIT_CODE);
         }
         drop(writer);
-        self.claims.release(fingerprint);
+        lock::release_claim(&self.dir, fingerprint);
         Ok(appended)
     }
 
     /// Release this session's claim on a request that failed or
     /// panicked, so waiters (and retries) can take it over.
     pub fn abandon(&self, request: &RunRequest) {
-        self.claims.release(request.fingerprint());
-    }
-
-    /// End the campaign: deregister the writer session (claims are
-    /// already released per-request; a crashed session's leftovers are
-    /// swept by the next opener).
-    pub fn finish(&self) {
-        self.sessions.deregister(&self.token);
+        lock::release_claim(&self.dir, request.fingerprint());
     }
 }
 
@@ -1095,7 +1085,10 @@ where
         }
         result
     });
-    session.finish();
+    // End the campaign: deregister the writer session (claims are
+    // already released per-request; a crashed session's leftovers are
+    // swept by the next opener).
+    drop(session);
     if let Some(e) = fatal.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(e);
     }
@@ -1337,7 +1330,12 @@ mod tests {
         std::fs::write(dir.join(JOURNAL_FILE), journal_with(2, 7)).expect("seed journal");
         // A live writer session is registered: a non-resume open must
         // NOT truncate — it joins the campaign and keeps the records.
-        Sessions::new(&dir).register("live-writer").expect("register");
+        std::fs::create_dir_all(dir.join(lock::WRITERS_DIR)).expect("writers dir");
+        std::fs::write(
+            dir.join(lock::WRITERS_DIR).join("live-writer"),
+            format!("pid {}\n", std::process::id()),
+        )
+        .expect("register");
         let (writer, loaded) = JournalWriter::open_with(
             &dir,
             7,
@@ -1350,7 +1348,7 @@ mod tests {
         assert_eq!(loaded.records.len(), 2, "campaign join must keep records");
         assert!(writer.record(request(0).fingerprint()).is_some());
         // Both sessions are now registered.
-        assert_eq!(Sessions::new(&dir).all().len(), 2);
+        assert_eq!(lock::sessions(&dir).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,11 +47,13 @@
 //! cold run at any job count.
 //!
 //! Coordination: the [`lock`] module makes the cache safe to *share*.
-//! Every journal republish happens under an advisory file lock (atomic
-//! hard-link acquisition, stale-lock takeover from dead holders) with a
+//! Every journal republish happens under an advisory file lock with a
 //! merge-on-reload pass folding in records concurrent processes landed;
 //! a per-fingerprint claims registry gives N concurrent invocations
-//! exactly-once execution over one cooperatively-filled cache. The
+//! exactly-once execution over one cooperatively-filled cache. The lock,
+//! the writer sessions, and the serve-fleet members are all one
+//! primitive, a [`lease`]: a token-owned file published by atomic hard
+//! link, judged live by its holder's pid and heartbeat. The
 //! [`compact`] module rewrites a corrupted or bloated journal down to
 //! its canonical image under the same lock, and [`status`] snapshots a
 //! cache (records, defects, lock holder, writers, claims) read-only.
@@ -62,6 +64,7 @@ pub mod exec;
 pub mod fingerprint;
 pub mod fleet;
 pub mod journal;
+pub mod lease;
 pub mod lock;
 pub mod plan;
 pub mod pool;
@@ -73,20 +76,15 @@ pub mod supervise;
 pub use chaos::{chaos_execute, render_chaos_summary, with_quiet_injected_panics, ChaosLane};
 pub use compact::{compact, compact_with, CompactReport};
 pub use exec::{run_request, try_run_request};
-pub use fleet::{
-    fleet_members, live_member, sweep_dead_members, FleetMemberInfo, FleetMembership,
-    DEFAULT_MEMBER_STALE, FLEET_DIR,
-};
+pub use fleet::{fleet_members, live_member, FleetMemberInfo, DEFAULT_MEMBER_STALE};
 pub use fingerprint::{current_epoch, journal_key};
 pub use journal::{
     execute_journaled, execute_journaled_with, load_bytes, load_file, render_resume_report,
     Gate, JournalConfig, JournalDefect, JournalDefectKind, JournalError, JournalErrorKind,
     JournalSession, JournalWriter, LoadedJournal, ResumeReport, DEFAULT_CACHE_DIR,
 };
-pub use lock::{
-    acquire, fresh_token, parse_field, pid_alive, probe, Claims, LockConfig, LockError,
-    LockErrorKind, LockGuard, LockStatus, SessionInfo, Sessions, DEFAULT_LOCK_TIMEOUT,
-};
+pub use lease::fresh_token;
+pub use lock::{acquire, LockConfig, LockError, LockErrorKind, LockGuard, DEFAULT_LOCK_TIMEOUT};
 pub use serve::{
     deadline_in, parse_request, parse_response, request_stop, serve, serve_status, submit,
     wait, withdraw_stop, PlanService, Reject, RejectKind, ServeAccounting, ServeConfig, ServeError,

@@ -11,12 +11,12 @@
 //! whose body is byte-identical to what the batch CLI would print for
 //! the same targets.
 //!
-//! Since the fleet refactor, *N* daemons share one cache: each
-//! registers in the [`crate::fleet`] member registry, claims requests
-//! by atomic rename into its private work directory, and sweeps dead
-//! members' orphaned work back to the inbox. One daemon is simply a
-//! fleet of one. `--exclusive` restores the PR 8 single-daemon refusal
-//! for callers that want exactly one.
+//! *N* daemons share one cache: each holds a lease in the
+//! [`crate::fleet`] member registry, claims requests by atomic rename
+//! into its private work directory, and sweeps dead members' orphaned
+//! work back to the inbox. One daemon is simply a fleet of one.
+//! `--exclusive` refuses to start while another member is live, for
+//! callers that want exactly one.
 //!
 //! # Protocol files
 //!
@@ -84,15 +84,14 @@
 //!   shared journal) requeues that request's claim back to the inbox
 //!   for re-service by any member instead of terminating the daemon;
 //!   daemon exit is reserved for cache-wide I/O failure.
-//! * **Liveness**: every member publishes `serve/fleet/<token>`, and a
-//!   background thread rewrites its per-member heartbeat on a fixed
-//!   interval — execution time never counts as staleness, however long
-//!   a batch runs. The scan loop still rewrites the legacy aggregate
-//!   `serve/heartbeat`; `repro status` reports both read-only via
-//!   [`serve_status`] as a fleet table. A member whose registration was
-//!   nonetheless retired by a peer detects the loss at its next scan
-//!   and re-registers under a fresh token instead of spinning as a
-//!   zombie whose claim renames all fail.
+//! * **Liveness**: every member publishes its `serve/fleet/<token>`
+//!   lease, and a background thread rewrites its heartbeat companion
+//!   (`<token>.hb`) on a fixed interval — execution time never counts
+//!   as staleness, however long a batch runs. `repro status` reports
+//!   the fleet read-only via [`serve_status`]. A member whose
+//!   registration was nonetheless retired by a peer detects the loss at
+//!   its next scan and re-registers under a fresh token instead of
+//!   spinning as a zombie whose claim renames all fail.
 //! * **Crash recovery**: a request is *claimed* by an atomic rename
 //!   from `inbox/` into the member's `work/<token>/` directory. A
 //!   daemon killed mid-request leaves the claimed file behind; any live
@@ -102,12 +101,12 @@
 //!   daemon already journaled reused — the response is byte-identical
 //!   to a cold batch run.
 
-use crate::fleet::{self, unix_ms, FleetMemberInfo, FleetMembership};
+use crate::fleet::{self, FleetMemberInfo, FleetMembership};
 use crate::journal::{
     execute_journaled, io_err, publish_bytes, JournalConfig, JournalError, JournalErrorKind,
     ResumeReport,
 };
-use crate::lock::{holder_pid, pid_alive};
+use crate::lease::unix_ms;
 use crate::plan::Plan;
 use crate::pool::ExecutedPlan;
 use crate::supervise::{backoff_delay, SuperviseConfig};
@@ -122,16 +121,8 @@ pub const SERVE_DIR: &str = "serve";
 pub const INBOX_DIR: &str = "serve/inbox";
 /// Directory the daemons publish responses into.
 pub const OUTBOX_DIR: &str = "serve/outbox";
-/// Claimed-but-unfinished requests (one subdirectory per fleet member;
-/// top-level files are pre-fleet debris, recovered at startup).
+/// Claimed-but-unfinished requests, one subdirectory per fleet member.
 pub const WORK_DIR: &str = "serve/work";
-/// The pre-fleet single-daemon pid lease. No longer written; a live
-/// holder still refuses fleet startup (an old-style daemon cannot
-/// coordinate), and a dead one is swept as debris.
-pub const DAEMON_FILE: &str = "serve/daemon.pid";
-/// The legacy aggregate liveness heartbeat, still rewritten every scan
-/// by every member (the per-member truth lives in `serve/fleet/`).
-pub const HEARTBEAT_FILE: &str = "serve/heartbeat";
 /// Stop request marker (`repro serve --stop`).
 pub const STOP_FILE: &str = "serve/stop";
 
@@ -718,9 +709,8 @@ impl ServeConfig {
 /// not errors).
 #[derive(Debug)]
 pub enum ServeError {
-    /// Another live daemon already serves this cache: a pre-fleet
-    /// daemon holds the legacy pid lease, or (under `--exclusive`) a
-    /// live fleet member is registered.
+    /// Under `--exclusive`, a live fleet member already serves this
+    /// cache.
     AlreadyRunning {
         /// The live daemon's PID.
         pid: u32,
@@ -793,8 +783,6 @@ struct ServeDirs {
     inbox: PathBuf,
     outbox: PathBuf,
     work: PathBuf,
-    daemon: PathBuf,
-    heartbeat: PathBuf,
     stop: PathBuf,
 }
 
@@ -804,8 +792,6 @@ impl ServeDirs {
             inbox: cache_dir.join(INBOX_DIR),
             outbox: cache_dir.join(OUTBOX_DIR),
             work: cache_dir.join(WORK_DIR),
-            daemon: cache_dir.join(DAEMON_FILE),
-            heartbeat: cache_dir.join(HEARTBEAT_FILE),
             stop: cache_dir.join(STOP_FILE),
         }
     }
@@ -819,18 +805,9 @@ impl ServeDirs {
     }
 }
 
-/// Rewrite the legacy aggregate heartbeat file (best-effort: a failed
-/// heartbeat must not kill the daemon).
-fn write_heartbeat(dirs: &ServeDirs, tick: u64) {
-    let _ = std::fs::write(
-        &dirs.heartbeat,
-        format!("pid {}\ntick {tick}\nunix_ms {}\n", std::process::id(), unix_ms()),
-    );
-}
-
 /// List `*.req` entries of `dir`, sorted by file name (deterministic
 /// admission order before priorities are applied).
-fn scan_requests(dir: &Path) -> Vec<(String, PathBuf)> {
+pub(crate) fn scan_requests(dir: &Path) -> Vec<(String, PathBuf)> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -844,21 +821,6 @@ fn scan_requests(dir: &Path) -> Vec<(String, PathBuf)> {
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-/// Move every claimed-but-unfinished request a pre-fleet daemon left
-/// directly in `work/` back to the inbox for re-service. (Fleet
-/// members' orphans live in per-member subdirectories and are swept by
-/// [`fleet::sweep_dead_members`] instead.)
-fn recover_orphans(dirs: &ServeDirs) -> usize {
-    let orphans = scan_requests(&dirs.work);
-    let mut recovered = 0;
-    for (id, path) in orphans {
-        if std::fs::rename(&path, dirs.inbox.join(format!("{id}.req"))).is_ok() {
-            recovered += 1;
-        }
-    }
-    recovered
 }
 
 /// Atomically publish `response` into the outbox.
@@ -994,17 +956,6 @@ struct ScannedRequest {
 /// the full robustness contract.
 pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeReport, ServeError> {
     let dirs = ServeDirs::create(&config.cache_dir)?;
-    // A pre-fleet daemon cannot coordinate through the member
-    // registry: a live legacy lease refuses startup, a dead one is
-    // debris and is swept.
-    if let Ok(content) = std::fs::read_to_string(&dirs.daemon) {
-        match holder_pid(&content) {
-            Some(pid) if pid_alive(pid) => return Err(ServeError::AlreadyRunning { pid }),
-            _ => {
-                let _ = std::fs::remove_file(&dirs.daemon);
-            }
-        }
-    }
     if config.exclusive {
         if let Some(member) = fleet::live_member(&config.cache_dir) {
             return Err(ServeError::AlreadyRunning { pid: member.pid });
@@ -1024,7 +975,6 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
         }
     }
     let mut report = ServeReport::default();
-    report.adopted += recover_orphans(&dirs);
     // Heartbeat from a background thread: execution time never counts
     // as staleness, however long an admitted batch runs.
     let mut pulse = membership.spawn_pulse(config.member_stale_after);
@@ -1046,7 +996,6 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
             (report.served + report.rejected) as u64,
             scan_requests(&membership.work_dir).len(),
         );
-        write_heartbeat(&dirs, tick);
         tick = tick.wrapping_add(1);
         report.adopted += fleet::sweep_dead_members(
             &config.cache_dir,
@@ -1241,13 +1190,11 @@ pub fn wait(
 /// `serve:` section of `repro status`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStatus {
-    /// A serving pid: the legacy lease holder if one is on file,
-    /// otherwise the first live fleet member.
-    pub daemon_pid: Option<u32>,
-    /// Whether any serving pid (legacy or fleet) is currently alive.
-    pub daemon_live: bool,
-    /// Age of the last aggregate heartbeat in milliseconds, if on file.
-    pub heartbeat_age_ms: Option<u128>,
+    /// A serving pid: the first live fleet member's, otherwise the
+    /// first registered member's.
+    pub member_pid: Option<u32>,
+    /// Whether any fleet member's pid is currently alive.
+    pub member_live: bool,
     /// Every registered fleet member, token order.
     pub members: Vec<FleetMemberInfo>,
     /// Pending requests in the inbox.
@@ -1262,78 +1209,33 @@ pub struct ServeStatus {
 pub fn serve_status(cache_dir: &Path) -> ServeStatus {
     let dirs = ServeDirs::of(cache_dir);
     let members = fleet::fleet_members(cache_dir);
-    let (legacy_pid, legacy_live) = match std::fs::read_to_string(&dirs.daemon) {
-        Ok(content) => match holder_pid(&content) {
-            Some(pid) => (Some(pid), pid_alive(pid)),
-            None => (Some(0), false),
-        },
-        Err(_) => (None, false),
-    };
     let fleet_live = members.iter().find(|m| m.pid_live);
-    let daemon_pid = legacy_pid
-        .or(fleet_live.map(|m| m.pid))
-        .or(members.first().map(|m| m.pid));
-    let daemon_live = legacy_live || fleet_live.is_some();
-    let heartbeat_age_ms = std::fs::read_to_string(&dirs.heartbeat)
-        .ok()
-        .and_then(|content| {
-            content.lines().find_map(|line| {
-                line.strip_prefix("unix_ms ")
-                    .and_then(|v| v.trim().parse::<u128>().ok())
-            })
-        })
-        .map(|then| unix_ms().saturating_sub(then));
-    let count = |dir: &Path, suffix: &str| -> usize {
-        std::fs::read_dir(dir).map_or(0, |entries| {
-            entries
-                .flatten()
-                .filter(|e| {
-                    e.file_name()
-                        .to_str()
-                        .is_some_and(|name| name.ends_with(suffix))
-                })
-                .count()
-        })
-    };
-    // In flight = pre-fleet top-level claims + every member subdir.
-    let mut in_flight = count(&dirs.work, ".req");
-    if let Ok(entries) = std::fs::read_dir(&dirs.work) {
-        for entry in entries.flatten() {
-            if entry.path().is_dir() {
-                in_flight += count(&entry.path(), ".req");
-            }
-        }
-    }
+    let outbox = std::fs::read_dir(&dirs.outbox).map_or(0, |entries| {
+        entries
+            .flatten()
+            .filter(|e| e.file_name().to_str().is_some_and(|name| name.ends_with(".resp")))
+            .count()
+    });
+    // In flight = claims in every member work dir, registered or not.
+    let in_flight = std::fs::read_dir(&dirs.work).map_or(0, |entries| {
+        entries.flatten().map(|e| scan_requests(&e.path()).len()).sum()
+    });
     ServeStatus {
-        daemon_pid,
-        daemon_live,
-        heartbeat_age_ms,
+        member_pid: fleet_live.or(members.first()).map(|m| m.pid),
+        member_live: fleet_live.is_some(),
         members,
-        inbox: count(&dirs.inbox, ".req"),
-        outbox: count(&dirs.outbox, ".resp"),
+        inbox: scan_requests(&dirs.inbox).len(),
+        outbox,
         in_flight,
     }
 }
 
-/// Render the `serve:` status section: the one-line legacy form when
-/// no fleet members are registered, or the per-member fleet table.
+/// Render the `serve:` status section: one line when no fleet members
+/// are registered, otherwise the per-member fleet table.
 pub fn render_serve_status(status: &ServeStatus) -> String {
     if status.members.is_empty() {
-        let daemon = match status.daemon_pid {
-            None => "no daemon".to_string(),
-            Some(pid) => {
-                let heartbeat = match status.heartbeat_age_ms {
-                    Some(age) => format!(", heartbeat {:.1}s ago", age as f64 / 1000.0),
-                    None => ", no heartbeat".to_string(),
-                };
-                format!(
-                    "daemon pid {pid} ({}{heartbeat})",
-                    if status.daemon_live { "alive" } else { "dead — stale lease" }
-                )
-            }
-        };
         return format!(
-            "  serve: {daemon}, inbox {} request(s), {} in flight, outbox {} response(s)\n",
+            "  serve: no daemon, inbox {} request(s), {} in flight, outbox {} response(s)\n",
             status.inbox, status.in_flight, status.outbox
         );
     }
@@ -1431,7 +1333,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "interp-serve-{tag}-{}-{}",
             std::process::id(),
-            crate::lock::fresh_token()
+            crate::lease::fresh_token()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -1582,8 +1484,7 @@ mod tests {
         assert_eq!(accounting.planned, 2);
         assert_eq!(accounting.executed, 2);
         assert!(!body.is_empty());
-        // Membership is retired on clean exit; no legacy lease exists.
-        assert!(!dir.join(DAEMON_FILE).exists());
+        // Membership is retired on clean exit.
         assert!(fleet::fleet_members(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1752,25 +1653,6 @@ mod tests {
     }
 
     #[test]
-    fn second_daemon_is_refused_while_the_first_lease_is_live() {
-        let dir = fresh_dir("second");
-        let dirs = ServeDirs::create(&dir).expect("dirs");
-        // A live pre-fleet daemon: the legacy lease names our own
-        // (alive) pid. It cannot coordinate through the registry, so
-        // fleet startup refuses.
-        std::fs::write(
-            &dirs.daemon,
-            format!("pid {}\ntoken other\n", std::process::id()),
-        )
-        .expect("plant");
-        match serve(&fast_config(&dir, 1), &TinyService) {
-            Err(ServeError::AlreadyRunning { pid }) => assert_eq!(pid, std::process::id()),
-            other => panic!("expected AlreadyRunning, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn exclusive_daemon_is_refused_while_a_member_is_live() {
         let dir = fresh_dir("exclusive");
         std::fs::create_dir_all(dir.join(FLEET_DIR)).expect("mkdir");
@@ -1789,34 +1671,6 @@ mod tests {
         submit(&dir, &ServeRequest::new("co", &["tiny"], Scale::Test)).expect("submit");
         let report = serve(&fast_config(&dir, 1), &TinyService).expect("serve");
         assert_eq!(report.served, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dead_daemon_lease_is_stolen_and_orphans_recovered() {
-        let dir = fresh_dir("orphan");
-        let dirs = ServeDirs::create(&dir).expect("dirs");
-        // A pre-fleet daemon died mid-request: dead legacy lease,
-        // claimed request at the top of work/, no response.
-        std::fs::write(&dirs.daemon, "pid 4000000000\ntoken corpse\n").expect("plant lease");
-        std::fs::write(
-            dirs.work.join("orphaned.req"),
-            encode_request(&ServeRequest::new("orphaned", &["tiny"], Scale::Test)),
-        )
-        .expect("plant orphan");
-        let report = serve(&fast_config(&dir, 1), &TinyService).expect("serve");
-        assert_eq!(report.served, 1);
-        assert_eq!(report.adopted, 1, "{report:?}");
-        let outcome = wait(&dir, "orphaned", Duration::from_secs(5), Duration::from_millis(1))
-            .expect("wait");
-        let WaitOutcome::Response(response) = outcome else {
-            panic!("no response");
-        };
-        let ServeOutcome::Ok { accounting, .. } = response.outcome else {
-            panic!("expected ok response");
-        };
-        assert!(accounting.exactly_once());
-        assert!(!dirs.daemon.exists(), "dead legacy lease must be swept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1899,7 +1753,7 @@ mod tests {
         // Hold the journal's advisory lock from this (live) process so
         // every execution attempt times out.
         let lock = crate::lock::acquire(
-            &crate::lock::LockConfig::for_dir(&dir, &crate::lock::fresh_token(), 1),
+            &crate::lock::LockConfig::for_dir(&dir, &crate::lease::fresh_token(), 1),
         )
         .expect("hold the journal lock");
         let mut config = fast_config(&dir, 1);
@@ -1937,10 +1791,13 @@ mod tests {
             move || serve(&config, &TinyService)
         });
         // The daemon clears stale stop markers after registering; the
-        // first heartbeat proves that startup step is behind us, so a
-        // stop written now cannot be mistaken for a stale one.
+        // member's first heartbeat proves that startup step is behind
+        // us, so a stop written now cannot be mistaken for a stale one.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while !dir.join(HEARTBEAT_FILE).exists() {
+        while fleet::fleet_members(&dir)
+            .first()
+            .is_none_or(|m| m.heartbeat_age_ms.is_none())
+        {
             assert!(Instant::now() < deadline, "daemon never heartbeat");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1968,34 +1825,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Plant a heartbeat for `member` reporting `served` responses.
+    fn plant_heartbeat(dir: &Path, member: &FleetMembership, served: u64) {
+        std::fs::write(
+            dir.join(FLEET_DIR).join(format!("{}.hb", member.token)),
+            format!(
+                "pid {}\ntick 1\nunix_ms {}\nserved {served}\nin-flight 0\n",
+                std::process::id(),
+                unix_ms()
+            ),
+        )
+        .expect("heartbeat");
+    }
+
     #[test]
     fn serve_status_reports_lease_heartbeat_and_depths() {
         let dir = fresh_dir("status");
         let empty = serve_status(&dir);
-        assert_eq!(empty.daemon_pid, None);
+        assert_eq!(empty.member_pid, None);
         assert_eq!(empty.inbox, 0);
         assert!(render_serve_status(&empty).contains("no daemon"));
 
-        let dirs = ServeDirs::create(&dir).expect("dirs");
-        std::fs::write(
-            &dirs.daemon,
-            format!("pid {}\ntoken t\n", std::process::id()),
-        )
-        .expect("lease");
-        std::fs::write(
-            &dirs.heartbeat,
-            format!("pid {}\ntick 3\nunix_ms {}\n", std::process::id(), unix_ms()),
-        )
-        .expect("heartbeat");
+        let member = FleetMembership::register(&dir).expect("register");
+        plant_heartbeat(&dir, &member, 0);
         submit(&dir, &ServeRequest::new("q", &["tiny"], Scale::Test)).expect("submit");
+        std::fs::write(member.work_dir.join("claimed.req"), b"payload\n").expect("claim");
         let status = serve_status(&dir);
-        assert_eq!(status.daemon_pid, Some(std::process::id()));
-        assert!(status.daemon_live);
-        assert!(status.heartbeat_age_ms.is_some());
-        assert_eq!(status.inbox, 1);
+        assert_eq!(status.member_pid, Some(std::process::id()));
+        assert!(status.member_live);
+        assert!(status.members[0].heartbeat_age_ms.is_some());
+        assert_eq!((status.inbox, status.in_flight, status.members[0].in_flight), (1, 1, 1));
         let text = render_serve_status(&status);
-        assert!(text.contains("alive"), "{text}");
-        assert!(text.contains("inbox 1 request(s)"), "{text}");
+        assert!(text.contains("alive, heartbeat"), "{text}");
+        assert!(text.contains("inbox 1 request(s), 1 in flight"), "{text}");
+        let _ = std::fs::remove_file(member.work_dir.join("claimed.req"));
+        drop(member);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2004,12 +1868,12 @@ mod tests {
         let dir = fresh_dir("fleet-status");
         std::fs::create_dir_all(dir.join(INBOX_DIR)).expect("mkdir");
         let member = FleetMembership::register(&dir).expect("register");
-        member.heartbeat(1, 4, 0);
+        plant_heartbeat(&dir, &member, 4);
         std::fs::write(dir.join(FLEET_DIR).join("corpse"), "pid 4000000000\ntoken corpse\n")
             .expect("plant corpse");
         let status = serve_status(&dir);
         assert_eq!(status.members.len(), 2);
-        assert!(status.daemon_live, "a live member counts as a live daemon");
+        assert!(status.member_live, "a live member counts as a live daemon");
         let text = render_serve_status(&status);
         assert!(text.contains("fleet of 2 member(s) (1 live)"), "{text}");
         assert!(text.contains("4 served"), "{text}");

@@ -5,7 +5,8 @@
 //! against a campaign in full flight.
 
 use crate::journal::{io_err, load_bytes, JournalDefect, JournalError, JOURNAL_FILE};
-use crate::lock::{probe, Claims, LockStatus, SessionInfo, Sessions};
+use crate::lease::LeaseRecord;
+use crate::lock::{self, LOCK_FILE};
 use crate::serve::{render_serve_status, serve_status, ServeStatus};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -23,10 +24,10 @@ pub struct CacheStatus {
     pub defects: Vec<JournalDefect>,
     /// The epoch the snapshot was taken under.
     pub epoch: u64,
-    /// Advisory lock state (free, or held by whom and whether alive).
-    pub lock: LockStatus,
-    /// Registered writer sessions, live and stale.
-    pub sessions: Vec<SessionInfo>,
+    /// The advisory lock's holder, if the lock is held.
+    pub lock: Option<LeaseRecord>,
+    /// Registered writer sessions (token, lease), live and stale.
+    pub sessions: Vec<(String, LeaseRecord)>,
     /// In-flight execution claims on file.
     pub claims: usize,
     /// Serve-fleet state (per-member pid liveness, heartbeat ages,
@@ -56,9 +57,9 @@ pub fn cache_status(dir: &Path, epoch: u64) -> Result<CacheStatus, JournalError>
             .collect(),
         defects: loaded.defects,
         epoch,
-        lock: probe(dir),
-        sessions: Sessions::new(dir).all(),
-        claims: Claims::new(dir).count(),
+        lock: LeaseRecord::read(&dir.join(LOCK_FILE)),
+        sessions: lock::sessions(dir),
+        claims: lock::claim_count(dir),
         serve: serve_status(dir),
     })
 }
@@ -106,18 +107,20 @@ pub fn render_cache_status(
         }
     );
     match &status.lock {
-        LockStatus::Free => {
+        None => {
             let _ = writeln!(out, "  lock: free");
         }
-        LockStatus::Held { pid, token, live } => {
+        Some(holder) => {
             let _ = writeln!(
                 out,
-                "  lock: held by pid {pid} (token {token}, {})",
-                if *live { "alive" } else { "dead — next writer takes over" }
+                "  lock: held by pid {} (token {}, {})",
+                holder.pid,
+                holder.token.as_deref().unwrap_or(""),
+                if holder.pid_live { "alive" } else { "dead — next writer takes over" }
             );
         }
     }
-    let live = status.sessions.iter().filter(|s| s.live).count();
+    let live = status.sessions.iter().filter(|(_, s)| s.pid_live).count();
     let _ = writeln!(
         out,
         "  writers: {} registered ({live} live), {} claim(s) in flight",
@@ -171,7 +174,7 @@ mod tests {
         let status = cache_status(&dir, EPOCH).expect("status");
         assert!(!status.present);
         assert!(status.records.is_empty());
-        assert_eq!(status.lock, LockStatus::Free);
+        assert_eq!(status.lock, None);
         let text = render_cache_status(&status, &dir, None);
         assert!(text.contains("journal: absent"), "{text}");
         assert!(text.contains("lock: free"), "{text}");
@@ -201,13 +204,9 @@ mod tests {
         assert!(status.present);
         assert_eq!(status.records.len(), 1);
         assert_eq!(status.defects.len(), 1);
-        match &status.lock {
-            LockStatus::Held { token, live, .. } => {
-                assert_eq!(token, "status-test");
-                assert!(live);
-            }
-            other => panic!("expected held lock, got {other:?}"),
-        }
+        let holder = status.lock.as_ref().expect("held lock");
+        assert_eq!(holder.token.as_deref(), Some("status-test"));
+        assert!(holder.pid_live);
         let text = render_cache_status(&status, &dir, Some((1, 4)));
         assert!(text.contains("1 record(s)"), "{text}");
         assert!(text.contains("defects: 1 (1 torn-tail)"), "{text}");
@@ -221,10 +220,14 @@ mod tests {
     fn fleet_members_surface_in_the_status_report() {
         let dir = fresh_dir("fleet");
         let member = crate::fleet::FleetMembership::register(&dir).expect("register");
-        member.heartbeat(1, 2, 0);
+        std::fs::write(
+            dir.join(crate::fleet::FLEET_DIR).join(format!("{}.hb", member.token)),
+            format!("pid {}\ntick 1\nunix_ms 1\nserved 2\nin-flight 0\n", std::process::id()),
+        )
+        .expect("heartbeat");
         let status = cache_status(&dir, EPOCH).expect("status");
         assert_eq!(status.serve.members.len(), 1);
-        assert!(status.serve.daemon_live);
+        assert!(status.serve.member_live);
         let text = render_cache_status(&status, &dir, None);
         assert!(text.contains("fleet of 1 member(s) (1 live)"), "{text}");
         assert!(text.contains("2 served"), "{text}");
@@ -247,7 +250,7 @@ mod tests {
         assert_eq!(status.records.len(), 1);
         let after = std::fs::read(dir.join(JOURNAL_FILE)).expect("read");
         assert_eq!(before, after, "status must not touch the journal");
-        assert_eq!(status.lock, LockStatus::Free, "status must not hold the lock");
+        assert_eq!(status.lock, None, "status must not hold the lock");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

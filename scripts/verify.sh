@@ -4,7 +4,12 @@
 #   build + tests      — the seed acceptance bar (must stay green), plus
 #                        the interp-archsim unit tests: the fast cache,
 #                        TLB and sweep models checked against a reference
-#                        LRU model, on seeded streams and real traces
+#                        LRU model, on seeded streams and real traces;
+#                        and the coordination layer: every interp-runplan
+#                        test (lease liveness table, lock, sessions,
+#                        claims, fleet, serve, coordination) plus the
+#                        fleet/serve/exit-code suites through the real
+#                        `repro` binary
 #   clippy strictness  — `unwrap_used` / `panic` are denied workspace-wide
 #                        in shipped code. Test modules are exempt (the
 #                        default clippy targets do not lint `#[cfg(test)]`
@@ -83,6 +88,10 @@ cargo test -q
 # The root package's tests do not reach the crates' own unit tests; the
 # timing model's are run explicitly (they hold its reference-model checks).
 cargo test -q -p interp-archsim
+# The coordination layer's unit and integration tests, then its
+# multi-process acceptance suites against the real binary.
+cargo test -q -p interp-runplan
+cargo test -q -p interp-harness --test fleet_cli --test serve_cli --test exit_codes
 
 echo "== clippy gate (no unwrap, no panic in shipped code) =="
 cargo clippy --workspace -q -- \
