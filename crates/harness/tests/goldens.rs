@@ -82,6 +82,23 @@ fn renderer_outputs_match_committed_goldens() {
     check("dispatch", &render_target("dispatch", store, scale));
     check("tiered", &render_target("tiered", store, scale));
     check("ablations", &render_target("ablations", store, scale));
+
+    // The renders print rounded averages; the content hash of every
+    // artifact pins each exact counter (per phase, per command, per
+    // cache) the renders are computed from.
+    let mut artifacts: Vec<String> = store
+        .iter()
+        .map(|(request, artifact)| {
+            format!("{} {:016x}\n", request.label(), artifact.content_hash())
+        })
+        .collect();
+    artifacts.sort();
+    assert_eq!(
+        artifacts.len(),
+        plan.len(),
+        "every planned run has an artifact"
+    );
+    check("artifacts", &artifacts.concat());
 }
 
 /// The guard sweep renders from seeded fault plans, not the run plan;
