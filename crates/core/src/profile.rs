@@ -132,21 +132,18 @@ mod tests {
         let mut stats = RunStats::new();
         // match: 1 dispatch, 80 execute instructions
         stats.begin_command(a);
-        for _ in 0..80 {
-            stats.charge(Phase::Execute, Some(a), false);
-        }
+        stats.instructions += 80;
+        stats.attribute(Phase::Execute, Some(a), false, 80);
         // assign: 8 dispatches, 15 execute instructions
         for _ in 0..8 {
             stats.begin_command(b);
         }
-        for _ in 0..15 {
-            stats.charge(Phase::Execute, Some(b), false);
-        }
+        stats.instructions += 15;
+        stats.attribute(Phase::Execute, Some(b), false, 15);
         // print: 1 dispatch, 5 native instructions
         stats.begin_command(c);
-        for _ in 0..5 {
-            stats.charge(Phase::Native, Some(c), false);
-        }
+        stats.instructions += 5;
+        stats.attribute(Phase::Native, Some(c), false, 5);
         (stats, set)
     }
 

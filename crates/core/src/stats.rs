@@ -83,14 +83,19 @@ impl RunStats {
         }
     }
 
-    /// Charge one instruction in `phase`, attributed to `cmd` if a virtual
-    /// command is active, with the §3.3 memory-model tag `mem_model`.
+    /// Attribute `n` instructions, already counted in
+    /// [`instructions`](Self::instructions), that all retired in `phase`
+    /// with the §3.3 memory-model tag `mem_model`, to `cmd` if a virtual
+    /// command was active.
+    ///
+    /// The machine calls this once per run of instructions that share
+    /// one attribution state, not once per instruction: the counters
+    /// are sums, so one call with `n` equals `n` calls with one.
     #[inline]
-    pub fn charge(&mut self, phase: Phase, cmd: Option<CmdId>, mem_model: bool) {
-        self.instructions += 1;
-        self.phase[Self::phase_slot(phase)] += 1;
+    pub fn attribute(&mut self, phase: Phase, cmd: Option<CmdId>, mem_model: bool, n: u64) {
+        self.phase[Self::phase_slot(phase)] += n;
         if mem_model {
-            self.mem_model_instructions += 1;
+            self.mem_model_instructions += n;
         }
         if let Some(cmd) = cmd {
             let idx = cmd.index();
@@ -99,15 +104,15 @@ impl RunStats {
             }
             let slot = &mut self.per_command[idx];
             match phase {
-                Phase::FetchDecode => slot.fetch_decode += 1,
-                Phase::Execute => slot.execute += 1,
-                Phase::Native => slot.native += 1,
+                Phase::FetchDecode => slot.fetch_decode += n,
+                Phase::Execute => slot.execute += n,
+                Phase::Native => slot.native += n,
                 Phase::Startup => {}
             }
         }
     }
 
-    /// Record a load (call in addition to [`charge`](Self::charge)).
+    /// Record a load (in addition to counting it in `instructions`).
     #[inline]
     pub fn count_load(&mut self) {
         self.loads += 1;
@@ -364,13 +369,20 @@ mod tests {
         CmdId(i)
     }
 
+    /// Retire `n` instructions in one attribution state, as the machine
+    /// does at a flush.
+    fn retire(s: &mut RunStats, phase: Phase, cmd: Option<CmdId>, mem_model: bool, n: u64) {
+        s.instructions += n;
+        s.attribute(phase, cmd, mem_model, n);
+    }
+
     #[test]
-    fn charge_updates_phase_and_command() {
+    fn attribute_updates_phase_and_command() {
         let mut s = RunStats::new();
         s.begin_command(cmd(0));
-        s.charge(Phase::FetchDecode, Some(cmd(0)), false);
-        s.charge(Phase::Execute, Some(cmd(0)), true);
-        s.charge(Phase::Native, Some(cmd(0)), false);
+        retire(&mut s, Phase::FetchDecode, Some(cmd(0)), false, 1);
+        retire(&mut s, Phase::Execute, Some(cmd(0)), true, 1);
+        retire(&mut s, Phase::Native, Some(cmd(0)), false, 1);
         assert_eq!(s.instructions, 3);
         assert_eq!(s.phase_instructions(Phase::FetchDecode), 1);
         assert_eq!(s.phase_instructions(Phase::Execute), 1);
@@ -388,12 +400,8 @@ mod tests {
     #[test]
     fn startup_excluded_from_steady_state() {
         let mut s = RunStats::new();
-        for _ in 0..10 {
-            s.charge(Phase::Startup, None, false);
-        }
-        for _ in 0..5 {
-            s.charge(Phase::Execute, None, false);
-        }
+        retire(&mut s, Phase::Startup, None, false, 10);
+        retire(&mut s, Phase::Execute, None, false, 5);
         assert_eq!(s.instructions, 15);
         assert_eq!(s.steady_state_instructions(), 5);
     }
@@ -403,12 +411,8 @@ mod tests {
         let mut s = RunStats::new();
         for _ in 0..4 {
             s.begin_command(cmd(1));
-            for _ in 0..3 {
-                s.charge(Phase::FetchDecode, Some(cmd(1)), false);
-            }
-            for _ in 0..7 {
-                s.charge(Phase::Execute, Some(cmd(1)), false);
-            }
+            retire(&mut s, Phase::FetchDecode, Some(cmd(1)), false, 3);
+            retire(&mut s, Phase::Execute, Some(cmd(1)), false, 7);
         }
         assert!((s.avg_fetch_decode() - 3.0).abs() < 1e-9);
         assert!((s.avg_execute() - 7.0).abs() < 1e-9);
@@ -419,12 +423,8 @@ mod tests {
         let mut s = RunStats::new();
         s.count_mem_model_access();
         s.count_mem_model_access();
-        for _ in 0..10 {
-            s.charge(Phase::Execute, None, true);
-        }
-        for _ in 0..10 {
-            s.charge(Phase::Execute, None, false);
-        }
+        retire(&mut s, Phase::Execute, None, true, 10);
+        retire(&mut s, Phase::Execute, None, false, 10);
         assert!((s.avg_mem_model_cost() - 5.0).abs() < 1e-9);
         assert!((s.mem_model_fraction() - 0.5).abs() < 1e-9);
     }
@@ -433,10 +433,10 @@ mod tests {
     fn merge_adds_counters() {
         let mut a = RunStats::new();
         a.begin_command(cmd(0));
-        a.charge(Phase::Execute, Some(cmd(0)), false);
+        retire(&mut a, Phase::Execute, Some(cmd(0)), false, 1);
         let mut b = RunStats::new();
         b.begin_command(cmd(2));
-        b.charge(Phase::FetchDecode, Some(cmd(2)), true);
+        retire(&mut b, Phase::FetchDecode, Some(cmd(2)), true, 1);
         b.count_load();
         a.merge(&b);
         assert_eq!(a.instructions, 2);
@@ -451,10 +451,10 @@ mod tests {
         let mut s = RunStats::new();
         s.begin_command(cmd(0));
         s.begin_command(cmd(3));
-        s.charge(Phase::Startup, None, false);
-        s.charge(Phase::FetchDecode, Some(cmd(0)), false);
-        s.charge(Phase::Execute, Some(cmd(3)), true);
-        s.charge(Phase::Native, Some(cmd(3)), false);
+        retire(&mut s, Phase::Startup, None, false, 1);
+        retire(&mut s, Phase::FetchDecode, Some(cmd(0)), false, 1);
+        retire(&mut s, Phase::Execute, Some(cmd(3)), true, 1);
+        retire(&mut s, Phase::Native, Some(cmd(3)), false, 1);
         s.count_load();
         s.count_store();
         s.count_mem_model_access();

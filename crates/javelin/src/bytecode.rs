@@ -73,9 +73,13 @@ pub enum OpCode {
 }
 
 impl OpCode {
+    /// Number of opcodes: the bytes `0..COUNT` are exactly the valid ones,
+    /// so `op as usize` indexes per-opcode tables.
+    pub const COUNT: usize = 40;
+
     /// Decode an opcode byte.
     pub fn from_byte(b: u8) -> Option<OpCode> {
-        if b <= 39 {
+        if usize::from(b) < Self::COUNT {
             // SAFETY-free decode: exhaustive match keeps this honest.
             Some(match b {
                 0 => OpCode::Nop,

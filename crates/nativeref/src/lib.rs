@@ -30,7 +30,7 @@
 //! # Ok::<(), interp_nativeref::ExecError>(())
 //! ```
 
-use interp_core::{CommandSet, InsnKind, InsnRecord, Phase, TraceSink};
+use interp_core::{CmdId, CommandSet, InsnKind, InsnRecord, Phase, TraceSink};
 use interp_host::Machine;
 use interp_isa::{Image, Insn, Reg, Syscall, GUEST_STACK_TOP};
 
@@ -122,6 +122,9 @@ pub struct DirectExecutor<'a, S: TraceSink> {
     brk: u32,
     /// Interned per-mnemonic command ids (for the Table 2 "C" rows).
     commands: CommandSet,
+    /// Each opcode's id in `commands`, by [`Insn::ordinal`]; interned on
+    /// first execution, so ids keep first-execution order.
+    cmd_ids: [Option<CmdId>; Insn::COUNT],
     executed: u64,
 }
 
@@ -142,6 +145,7 @@ impl<'a, S: TraceSink> DirectExecutor<'a, S> {
             pc: image.entry,
             brk: image.initial_break,
             commands: CommandSet::new("native"),
+            cmd_ids: [None; Insn::COUNT],
             executed: 0,
         }
     }
@@ -266,10 +270,17 @@ impl<'a, S: TraceSink> DirectExecutor<'a, S> {
         }
     }
 
+    /// The virtual command of `insn`'s opcode.
+    #[inline]
+    fn cmd_id(&mut self, insn: Insn) -> CmdId {
+        let commands = &mut self.commands;
+        *self.cmd_ids[insn.ordinal()].get_or_insert_with(|| commands.intern(insn.mnemonic()))
+    }
+
     /// Emit the trace record + per-command stats for a control instruction.
     fn retire(&mut self, pc: u32, insn: Insn) {
         self.executed += 1;
-        let cmd = self.commands.intern(insn.mnemonic());
+        let cmd = self.cmd_id(insn);
         self.machine.begin_command(cmd);
         let kind = match insn {
             Insn::Jal { target } => InsnKind::Call {
@@ -323,7 +334,7 @@ impl<'a, S: TraceSink> DirectExecutor<'a, S> {
     fn execute_plain(&mut self, pc: u32, insn: Insn) -> Result<Option<i32>, ExecError> {
         use Insn::*;
         self.executed += 1;
-        let cmd = self.commands.intern(insn.mnemonic());
+        let cmd = self.cmd_id(insn);
         self.machine.begin_command(cmd);
         let mut kind = InsnKind::Alu;
         match insn {

@@ -8,7 +8,7 @@
 //! charged hash translation (§3.3's ~210-instruction cost).
 
 use interp_core::{
-    CommandSet, Dispatch, DispatchStrategy, Language, Phase, RunStats, TraceSink,
+    CmdId, CommandSet, Dispatch, DispatchStrategy, Language, Phase, RunStats, TraceSink,
 };
 use interp_host::{Machine, RoutineId, SimHash, SimStr};
 use std::collections::HashMap;
@@ -50,6 +50,9 @@ pub struct Perlite<'a, S: TraceSink> {
     m: &'a mut Machine<S>,
     rt: Routines,
     commands: CommandSet,
+    /// Each op node's id in `commands`, by [`OpId`]; interned on the
+    /// node's first dispatch, so ids keep first-dispatch order.
+    op_cmds: Vec<Option<CmdId>>,
     prog: Program,
     scalars: Vec<Value>,
     scalar_base: u32,
@@ -108,6 +111,7 @@ impl<'a, S: TraceSink> Perlite<'a, S> {
             m: machine,
             rt,
             commands: CommandSet::new("perlite"),
+            op_cmds: vec![None; prog.ops.len()],
             prog,
             scalars,
             scalar_base,
@@ -131,7 +135,7 @@ impl<'a, S: TraceSink> Perlite<'a, S> {
     }
 
     /// Statistics gathered so far.
-    pub fn stats(&self) -> &RunStats {
+    pub fn stats(&mut self) -> &RunStats {
         self.m.stats()
     }
 
@@ -222,7 +226,8 @@ impl<'a, S: TraceSink> Perlite<'a, S> {
         self.m.lw(sp_cell.wrapping_add(12)); // signal flag
         self.m.branch_fwd(false);
         self.m.alu_n(34);
-        let cmd = self.commands.intern(op.cmd_name());
+        let commands = &mut self.commands;
+        let cmd = *self.op_cmds[id as usize].get_or_insert_with(|| commands.intern(op.cmd_name()));
         self.m.begin_command(cmd);
         self.m.set_phase(Phase::Execute);
         let out = self.exec_op(&op);

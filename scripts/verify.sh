@@ -9,7 +9,12 @@
 #                        test (lease liveness table, lock, sessions,
 #                        claims, fleet, serve, coordination) plus the
 #                        fleet/serve/exit-code suites through the real
-#                        `repro` binary
+#                        `repro` binary; and the engine layer: the unit
+#                        and integration tests of interp-core, -host,
+#                        -isa and the five engines' crates (the
+#                        deferred-attribution oracle against a
+#                        per-instruction reference, javelin's naive vs
+#                        tiered `RunStats` equivalence)
 #   clippy strictness  — `unwrap_used` / `panic` are denied workspace-wide
 #                        in shipped code. Test modules are exempt (the
 #                        default clippy targets do not lint `#[cfg(test)]`
@@ -88,6 +93,9 @@ cargo test -q
 # The root package's tests do not reach the crates' own unit tests; the
 # timing model's are run explicitly (they hold its reference-model checks).
 cargo test -q -p interp-archsim
+# The host machine's charging and the engines that drive it.
+cargo test -q -p interp-core -p interp-host -p interp-isa -p interp-mipsi -p interp-javelin \
+  -p interp-nativeref -p interp-perlite -p interp-tclite -p interp-workloads
 # The coordination layer's unit and integration tests, then its
 # multi-process acceptance suites against the real binary.
 cargo test -q -p interp-runplan
