@@ -290,9 +290,43 @@ pub trait Dispatch {
     fn inject_fault(&mut self, _fault: DispatchFault) {}
 }
 
+/// A superinstruction pair list as a table over dense opcode indices
+/// `0..N`, where `name(i)` is opcode `i`'s command name: bit `cur` of
+/// entry `prev` is set iff `(name(prev), name(cur))` is in `pairs`. The
+/// dispatch loop then tests a fusion with a shift instead of a string
+/// scan.
+///
+/// # Panics
+///
+/// Panics if `N > 64` (a row is one `u64`).
+pub fn fused_pair_table<const N: usize>(
+    name: impl Fn(usize) -> &'static str,
+    pairs: &[(&str, &str)],
+) -> [u64; N] {
+    assert!(N <= 64, "{N} opcodes do not fit a u64 row");
+    let mut table = [0u64; N];
+    for &(first, second) in pairs {
+        for prev in (0..N).filter(|&i| name(i) == first) {
+            for cur in (0..N).filter(|&i| name(i) == second) {
+                table[prev] |= 1 << cur;
+            }
+        }
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fused_pair_table_sets_every_opcode_of_each_named_pair() {
+        // Opcodes 1 and 2 share a name, as grouped bytecodes do.
+        let names = ["lit", "load", "load", "add"];
+        let pairs = [("load", "add"), ("lit", "load")];
+        let table: [u64; 4] = fused_pair_table(|i| names[i], &pairs);
+        assert_eq!(table, [0b0110, 0b1000, 0b1000, 0]);
+    }
 
     #[test]
     fn labels_round_trip() {

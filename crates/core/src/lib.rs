@@ -50,7 +50,9 @@ pub mod workload;
 
 pub use artifact::{ConsoleDigest, CycleSummary, RunArtifact, StallShare, SweepPointSummary};
 pub use command::{CmdId, CommandSet};
-pub use dispatch::{Dispatch, DispatchFault, DispatchSelection, DispatchStrategy};
+pub use dispatch::{
+    fused_pair_table, Dispatch, DispatchFault, DispatchSelection, DispatchStrategy,
+};
 pub use insn::{InsnKind, InsnRecord};
 pub use phase::Phase;
 pub use profile::{CommandProfile, CumulativePoint, HistogramRow};

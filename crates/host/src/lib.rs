@@ -2,9 +2,10 @@
 //! DEC Alpha + ATOM measurement environment.
 //!
 //! Every interpreter in this workspace is written against [`Machine`]'s
-//! *primitives*: one primitive retires one native instruction, updates the
-//! per-phase / per-virtual-command counters, and streams an
-//! [`interp_core::InsnRecord`] into the attached [`interp_core::TraceSink`].
+//! *primitives*: one primitive retires one native instruction, counts it,
+//! and streams an [`interp_core::InsnRecord`] into the attached
+//! [`interp_core::TraceSink`]; the per-phase / per-virtual-command split is
+//! settled at each change of attribution state (see [`machine`]).
 //! Interpreter runtime state — strings, symbol tables, op-trees, object
 //! heaps, guest address spaces — lives in the machine's simulated 32-bit
 //! [`mem::Memory`], so data-cache traces are genuine.
